@@ -2,7 +2,9 @@
 //! representation vs full statevector simulation, and the optimiser choice.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use enq_optim::{Adam, Lbfgs, Objective, Optimizer};
+use enq_bench::ablation::Optimizer;
+use enq_bench::Adam;
+use enq_optim::{Lbfgs, Objective};
 use enq_qsim::Statevector;
 use enqode::{AnsatzConfig, EntanglerKind, FidelityObjective, SymbolicState};
 use std::hint::black_box;

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use enq_bench::context::DatasetContext;
 use enq_bench::experiment::ExperimentConfig;
 use enq_data::DatasetKind;
-use enq_optim::{Lbfgs, Objective, Optimizer};
+use enq_optim::{Lbfgs, Objective};
 use enqode::FidelityObjective;
 use std::hint::black_box;
 use std::time::Duration;

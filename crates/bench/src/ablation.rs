@@ -8,11 +8,29 @@
 use crate::context::DatasetContext;
 use crate::experiment::ExperimentConfig;
 use crate::report::markdown_table;
-use enq_optim::{Adam, GradientDescent, Lbfgs, NelderMead, Objective, Optimizer};
+use crate::{Adam, GradientDescent, NelderMead};
+use enq_optim::{Lbfgs, Objective, OptimizeResult};
 use enqode::{
     AnsatzConfig, EnqodeConfig, EnqodeError, EnqodeModel, EntanglerKind, FidelityObjective,
 };
 use std::fmt;
+
+/// A minimiser the optimiser ablation compares through dynamic dispatch.
+pub trait Optimizer {
+    /// Minimises `objective` starting from `x0`.
+    fn minimize(&self, objective: &dyn Objective, x0: &[f64]) -> OptimizeResult;
+}
+
+impl Optimizer for Lbfgs {
+    fn minimize(&self, objective: &dyn Objective, x0: &[f64]) -> OptimizeResult {
+        Lbfgs::minimize(self, objective, x0)
+    }
+}
+
+/// Returns the Euclidean norm of a vector.
+pub(crate) fn norm(v: &[f64]) -> f64 {
+    v.iter().map(|x| x * x).sum::<f64>().sqrt()
+}
 
 /// Fidelity achieved for each entangler choice.
 #[derive(Debug, Clone)]

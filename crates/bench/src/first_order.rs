@@ -1,7 +1,8 @@
 //! First-order optimisers (gradient descent and Adam), used as ablation
 //! baselines against L-BFGS.
 
-use crate::objective::{norm, Objective, OptimizeResult, Optimizer};
+use crate::ablation::{norm, Optimizer};
+use enq_optim::{Objective, OptimizeResult};
 
 /// Plain gradient descent `θ ← θ − η·∇L(θ)` (Eq. 2 of the paper).
 #[derive(Debug, Clone)]
@@ -135,7 +136,7 @@ impl Optimizer for Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::FnObjective;
+    use enq_optim::FnObjective;
 
     fn quadratic() -> impl Objective {
         FnObjective::new(

@@ -4,7 +4,8 @@
 //! cost without the symbolic Jacobian (every probe is a full objective
 //! evaluation and convergence is much slower than L-BFGS).
 
-use crate::objective::{norm, Objective, OptimizeResult, Optimizer};
+use crate::ablation::{norm, Optimizer};
+use enq_optim::{Objective, OptimizeResult};
 
 /// The Nelder-Mead downhill-simplex method.
 #[derive(Debug, Clone)]
@@ -151,7 +152,7 @@ impl Optimizer for NelderMead {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::FnObjective;
+    use enq_optim::{FnObjective, Lbfgs};
 
     fn sphere() -> impl Objective {
         FnObjective::new(
@@ -171,7 +172,7 @@ mod tests {
     #[test]
     fn uses_more_evaluations_than_lbfgs() {
         let nm = NelderMead::default().minimize(&sphere(), &[1.0, -2.0, 0.5]);
-        let lbfgs = crate::Lbfgs::default().minimize(&sphere(), &[1.0, -2.0, 0.5]);
+        let lbfgs = Lbfgs::default().minimize(&sphere(), &[1.0, -2.0, 0.5]);
         assert!(
             nm.evaluations > lbfgs.evaluations,
             "nelder-mead {} vs l-bfgs {}",

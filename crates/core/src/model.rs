@@ -17,7 +17,7 @@ use crate::loss::{BatchedFidelityObjective, FidelityObjective};
 use crate::symbolic::SymbolicState;
 use enq_circuit::QuantumCircuit;
 use enq_data::{fit_with_fidelity_threshold, l2_normalize};
-use enq_optim::{Lbfgs, LbfgsDriver, Optimizer};
+use enq_optim::{Lbfgs, LbfgsDriver};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::num::NonZeroUsize;
@@ -628,9 +628,9 @@ impl EnqodeModel {
     /// [`BatchedFidelityObjective`] sweep per optimisation round instead of
     /// one kernel invocation per sample per round.
     ///
-    /// Each lane runs an [`LbfgsDriver`] — a bit-exact port of the solo
-    /// L-BFGS loop — against the batched loss, whose per-lane arithmetic is
-    /// bit-identical to the solo objective. Every returned [`Embedding`] is
+    /// Each lane runs an [`LbfgsDriver`] — the same L-BFGS that
+    /// [`Lbfgs::minimize`] runs on the solo path — against the batched loss,
+    /// whose per-lane arithmetic is bit-identical to the solo objective. Every returned [`Embedding`] is
     /// therefore **bit-identical** to what [`EnqodeModel::embed_normalized`]
     /// produces for the same job (apart from wall-clock `duration`), and the
     /// final `ideal_fidelity` is scored through the same solo objective path.

@@ -1,28 +1,29 @@
-//! A resumable, evaluation-inverted L-BFGS step machine.
+//! The L-BFGS implementation: a resumable, evaluation-inverted step machine
+//! with a strong-Wolfe line search.
 //!
-//! [`Lbfgs::minimize_with`] owns its loop and calls the objective itself;
-//! that shape cannot drive **batched** objective evaluation, where `B`
-//! independent optimisations want their pending points evaluated together in
-//! one fused kernel sweep. [`LbfgsDriver`] inverts the control flow: it
-//! exposes the next point it needs evaluated ([`LbfgsDriver::pending`]), the
-//! caller supplies the value and gradient ([`LbfgsDriver::supply`]), and the
-//! driver advances its internal state until it needs the next evaluation or
-//! finishes.
+//! [`LbfgsDriver`] never calls the objective itself: it exposes the next
+//! point it needs evaluated ([`LbfgsDriver::pending`]), the caller supplies
+//! the value and gradient ([`LbfgsDriver::supply`]), and the driver advances
+//! its internal state until it needs the next evaluation or finishes. That
+//! shape serves both callers:
 //!
-//! The driver is a faithful port of `minimize_with` plus its strong-Wolfe
-//! line search: every arithmetic operation happens in the same order on the
-//! same values, so a driver stepped to completion produces a **bit-identical
-//! [`OptimizeResult`]** to calling [`Lbfgs::minimize_with`] directly (the
-//! `driver_matches_minimize_bitwise` test pins this). That equivalence is
-//! what lets the batched embedding path claim bit-identical outputs to the
-//! per-request path.
+//! * [`LbfgsDriver::run`] (and [`Lbfgs::minimize`] on top of it) evaluates
+//!   each pending point with [`Objective::value_and_gradient_into`] — the
+//!   solo embedding path and offline training;
+//! * the batched embedding path steps `B` drivers in lockstep and evaluates
+//!   their pending points together in one fused kernel sweep.
 //!
-//! Between [`LbfgsDriver::new`] and completion there is always **exactly one
-//! pending evaluation**, so a lockstep loop over `B` drivers evaluates
-//! exactly `B` points per round.
+//! Both walk the same code, so the batched path's outputs are bit-identical
+//! to the per-request path's. Between a (re)start and completion there is
+//! always **exactly one pending evaluation**, so a lockstep loop over `B`
+//! drivers evaluates exactly `B` points per round.
+//!
+//! All working storage lives in the driver. [`LbfgsDriver::restart`] reuses
+//! it for the next problem, so repeated optimisations (restarts, per-sample
+//! fine-tuning) allocate nothing beyond the returned result vector.
 
 use crate::lbfgs::Lbfgs;
-use crate::objective::{dot, norm, OptimizeResult};
+use crate::objective::{dot, norm, Objective, OptimizeResult};
 
 const C1: f64 = 1e-4;
 const C2: f64 = 0.9;
@@ -53,7 +54,7 @@ struct LineState {
     /// Step whose evaluation is currently pending.
     alpha: f64,
     /// Evaluations consumed by this search (only added to the global count
-    /// if the search succeeds, mirroring `minimize_with`).
+    /// if the search succeeds).
     evals: usize,
     stage: LineStage,
 }
@@ -72,11 +73,32 @@ enum Phase {
 }
 
 /// Resumable L-BFGS optimisation over one problem: ask [`pending`], answer
-/// with [`supply`], repeat until [`is_done`]. See the module docs.
+/// with [`supply`], repeat until [`is_done`] — or let [`run`] do that
+/// against an [`Objective`]. See the module docs.
 ///
 /// [`pending`]: LbfgsDriver::pending
 /// [`supply`]: LbfgsDriver::supply
 /// [`is_done`]: LbfgsDriver::is_done
+/// [`run`]: LbfgsDriver::run
+///
+/// # Examples
+///
+/// One driver reused across problems of different dimensions:
+///
+/// ```
+/// use enq_optim::{FnObjective, Lbfgs, LbfgsDriver};
+///
+/// let shifted = FnObjective::new(1, |x| (x[0] - 0.5).powi(2), |x| vec![2.0 * (x[0] - 0.5)]);
+/// let sphere = FnObjective::new(
+///     2,
+///     |x| x.iter().map(|v| v * v).sum(),
+///     |x| x.iter().map(|v| 2.0 * v).collect(),
+/// );
+/// let mut driver = LbfgsDriver::new(Lbfgs::default(), &[5.0]);
+/// assert!((driver.run(&shifted).x[0] - 0.5).abs() < 1e-6);
+/// driver.restart(Lbfgs::default(), &[1.0, -2.0]);
+/// assert!(driver.run(&sphere).value < 1e-12);
+/// ```
 #[derive(Debug, Clone)]
 pub struct LbfgsDriver {
     params: Lbfgs,
@@ -87,13 +109,15 @@ pub struct LbfgsDriver {
     g: Vec<f64>,
     /// Accepted next iterate (scratch for the curvature-pair update).
     new_x: Vec<f64>,
-    /// Gradient at the most recently supplied evaluation.
+    /// Gradient at the most recently supplied line-search evaluation.
     new_g: Vec<f64>,
     /// Two-loop recursion scratch.
     q: Vec<f64>,
     direction: Vec<f64>,
     /// The point whose evaluation is pending.
     point: Vec<f64>,
+    /// Gradient buffer [`LbfgsDriver::run`] evaluates into.
+    eval_g: Vec<f64>,
     alphas: Vec<f64>,
     s_hist: Vec<Vec<f64>>,
     y_hist: Vec<Vec<f64>>,
@@ -102,10 +126,8 @@ pub struct LbfgsDriver {
     hist_head: usize,
     f: f64,
     evaluations: usize,
+    /// Outer iterations started so far.
     iterations: usize,
-    /// Iterations started so far (the `for iter in 0..max_iterations`
-    /// counter).
-    iter: usize,
     converged: bool,
     phase: Phase,
 }
@@ -114,32 +136,100 @@ impl LbfgsDriver {
     /// Starts an optimisation of an `x0.len()`-dimensional problem from
     /// `x0`. The first pending evaluation is `x0` itself.
     pub fn new(params: Lbfgs, x0: &[f64]) -> Self {
-        let n = x0.len();
-        let memory = params.memory.max(1);
-        Self {
-            params,
-            n,
-            memory,
-            x: x0.to_vec(),
-            g: vec![0.0; n],
-            new_x: vec![0.0; n],
-            new_g: vec![0.0; n],
-            q: vec![0.0; n],
-            direction: vec![0.0; n],
-            point: x0.to_vec(),
-            alphas: vec![0.0; memory],
-            s_hist: vec![vec![0.0; n]; memory],
-            y_hist: vec![vec![0.0; n]; memory],
-            rho_hist: vec![0.0; memory],
+        let mut driver = Self {
+            params: params.clone(),
+            n: 0,
+            memory: 0,
+            x: Vec::new(),
+            g: Vec::new(),
+            new_x: Vec::new(),
+            new_g: Vec::new(),
+            q: Vec::new(),
+            direction: Vec::new(),
+            point: Vec::new(),
+            eval_g: Vec::new(),
+            alphas: Vec::new(),
+            s_hist: Vec::new(),
+            y_hist: Vec::new(),
+            rho_hist: Vec::new(),
             hist_len: 0,
             hist_head: 0,
             f: 0.0,
             evaluations: 0,
             iterations: 0,
-            iter: 0,
             converged: false,
-            phase: Phase::Initial,
+            phase: Phase::Done,
+        };
+        driver.restart(params, x0);
+        driver
+    }
+
+    /// Starts a new optimisation from `x0`, discarding the current one and
+    /// reusing this driver's buffers: they are resized only when the problem
+    /// dimension or memory depth grows, so a warm driver restarts without
+    /// allocating.
+    pub fn restart(&mut self, params: Lbfgs, x0: &[f64]) {
+        let n = x0.len();
+        let memory = params.memory.max(1);
+        let zeroed = |v: &mut Vec<f64>, len: usize| {
+            v.clear();
+            v.resize(len, 0.0);
+        };
+        for v in [
+            &mut self.g,
+            &mut self.new_x,
+            &mut self.new_g,
+            &mut self.q,
+            &mut self.direction,
+            &mut self.eval_g,
+        ] {
+            zeroed(v, n);
         }
+        self.x.clear();
+        self.x.extend_from_slice(x0);
+        self.point.clear();
+        self.point.extend_from_slice(x0);
+        zeroed(&mut self.alphas, memory);
+        zeroed(&mut self.rho_hist, memory);
+        self.s_hist.resize_with(memory, Vec::new);
+        self.y_hist.resize_with(memory, Vec::new);
+        for v in self.s_hist.iter_mut().chain(self.y_hist.iter_mut()) {
+            zeroed(v, n);
+        }
+        self.params = params;
+        self.n = n;
+        self.memory = memory;
+        self.hist_len = 0;
+        self.hist_head = 0;
+        self.f = 0.0;
+        self.evaluations = 0;
+        self.iterations = 0;
+        self.converged = false;
+        self.phase = Phase::Initial;
+    }
+
+    /// Runs the optimisation to completion, evaluating every pending point
+    /// with [`Objective::value_and_gradient_into`], and returns the result.
+    /// Allocates only the returned result vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the objective's dimension differs from the starting
+    /// point's.
+    pub fn run(&mut self, objective: &dyn Objective) -> OptimizeResult {
+        assert_eq!(
+            objective.dimension(),
+            self.n,
+            "initial point has wrong dimension"
+        );
+        let mut gradient = std::mem::take(&mut self.eval_g);
+        while let Some(point) = self.pending() {
+            let value = objective.value_and_gradient_into(point, &mut gradient);
+            self.supply(value, &gradient);
+        }
+        self.eval_g = gradient;
+        self.result()
+            .expect("the loop ends only once the driver is done")
     }
 
     /// Returns the point awaiting evaluation, or `None` once finished.
@@ -221,16 +311,14 @@ impl LbfgsDriver {
         })
     }
 
-    /// Top of the outer iteration: convergence checks, two-loop recursion,
-    /// and kick-off of the line search (mirrors the head of
-    /// `Lbfgs::minimize_with`'s loop body).
+    /// Top of the outer iteration: budget and convergence checks, then the
+    /// two-loop recursion for the search direction.
     fn begin_iteration(&mut self) {
-        if self.iter == self.params.max_iterations {
+        if self.iterations == self.params.max_iterations {
             self.phase = Phase::Done;
             return;
         }
-        self.iter += 1;
-        self.iterations = self.iter;
+        self.iterations += 1;
         if norm(&self.g) < self.params.gradient_tolerance {
             self.converged = true;
             self.phase = Phase::Done;
@@ -275,7 +363,13 @@ impl LbfgsDriver {
         for (di, qi) in self.direction.iter_mut().zip(self.q.iter()) {
             *di = -qi;
         }
+        self.start_line_search();
+    }
 
+    /// Starts the strong-Wolfe line search (Nocedal & Wright, Algorithms
+    /// 3.5/3.6 with bisection-based zoom) along `direction`, or falls back
+    /// to a small gradient step when `direction` is not a descent direction.
+    fn start_line_search(&mut self) {
         let initial_step = if self.hist_len == 0 {
             (1.0 / norm(&self.direction).max(1e-12)).min(1.0)
         } else {
@@ -283,7 +377,7 @@ impl LbfgsDriver {
         };
         let d_phi0 = dot(&self.g, &self.direction);
         if d_phi0 >= 0.0 {
-            // Not a descent direction: the line search would refuse it.
+            // Not a descent direction: refuse to search along it.
             self.enter_fallback();
             return;
         }
@@ -402,8 +496,8 @@ impl LbfgsDriver {
         self.request_line_point(st);
     }
 
-    /// Line search succeeded: curvature-pair update and convergence check
-    /// (the tail of `minimize_with`'s loop body).
+    /// Line search succeeded: curvature-pair update and convergence check,
+    /// then the next iteration.
     fn accept_step(&mut self, step: f64, new_f: f64, search_evals: usize) {
         self.evaluations += search_evals;
         for ((nx, xi), di) in self
@@ -453,7 +547,7 @@ impl LbfgsDriver {
 
     /// Line search failed: request the conservative gradient step
     /// `x − (1e-4 / max(‖g‖, 1))·g` (the evaluations the failed search
-    /// consumed are dropped, mirroring `minimize_with`).
+    /// consumed are dropped).
     fn enter_fallback(&mut self) {
         let step = 1e-4 / norm(&self.g).max(1.0);
         for ((p, xi), gi) in self.point.iter_mut().zip(self.x.iter()).zip(self.g.iter()) {
@@ -466,9 +560,10 @@ impl LbfgsDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::{FnObjective, Objective, Optimizer};
+    use crate::objective::FnObjective;
 
-    /// Steps a driver to completion using direct objective evaluation.
+    /// Steps a driver to completion by hand through `pending`/`supply`, the
+    /// way the batched embedding path drives its lanes.
     fn run_driver(params: Lbfgs, objective: &dyn Objective, x0: &[f64]) -> OptimizeResult {
         let mut driver = LbfgsDriver::new(params, x0);
         let mut gradient = vec![0.0; x0.len()];
@@ -483,19 +578,43 @@ mod tests {
         driver.result().unwrap()
     }
 
-    fn assert_bitwise_eq(a: &OptimizeResult, b: &OptimizeResult) {
-        assert_eq!(a.iterations, b.iterations);
-        assert_eq!(a.evaluations, b.evaluations);
-        assert_eq!(a.converged, b.converged);
-        assert_eq!(a.value.to_bits(), b.value.to_bits(), "value differs");
+    /// A pinned [`OptimizeResult`], floats as `f64::to_bits`.
+    ///
+    /// The pins were captured from the loop-owning solo L-BFGS that the
+    /// batched path's driver used to be checked against, before the two
+    /// were folded into this driver. They keep that implementation's
+    /// trajectories checked bit for bit.
+    struct Golden {
+        x: &'static [u64],
+        value: u64,
+        gradient_norm: u64,
+        iterations: usize,
+        evaluations: usize,
+        converged: bool,
+    }
+
+    fn assert_golden(result: &OptimizeResult, golden: &Golden, case: &str) {
+        assert_eq!(result.iterations, golden.iterations, "{case}: iterations");
         assert_eq!(
-            a.gradient_norm.to_bits(),
-            b.gradient_norm.to_bits(),
-            "gradient norm differs"
+            result.evaluations, golden.evaluations,
+            "{case}: evaluations"
         );
-        for (i, (xa, xb)) in a.x.iter().zip(b.x.iter()).enumerate() {
-            assert_eq!(xa.to_bits(), xb.to_bits(), "x[{i}] differs");
-        }
+        assert_eq!(result.converged, golden.converged, "{case}: converged");
+        assert_eq!(result.value.to_bits(), golden.value, "{case}: value");
+        assert_eq!(
+            result.gradient_norm.to_bits(),
+            golden.gradient_norm,
+            "{case}: gradient norm"
+        );
+        let x: Vec<u64> = result.x.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(x, golden.x, "{case}: x");
+    }
+
+    /// Checks both ways of running the driver against one pin.
+    fn assert_both_match(params: Lbfgs, objective: &dyn Objective, x0: &[f64], golden: &Golden) {
+        let case = format!("x0 = {x0:?}, max_iterations = {}", params.max_iterations);
+        assert_golden(&params.minimize(objective, x0), golden, &case);
+        assert_golden(&run_driver(params, objective, x0), golden, &case);
     }
 
     fn rosenbrock() -> impl Objective {
@@ -511,14 +630,53 @@ mod tests {
         )
     }
 
+    fn sphere() -> impl Objective {
+        FnObjective::new(
+            2,
+            |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>(),
+            |x: &[f64]| x.iter().map(|v| 2.0 * v).collect(),
+        )
+    }
+
     #[test]
     fn driver_matches_minimize_bitwise() {
-        let obj = rosenbrock();
-        for x0 in [[-1.2, 1.0], [3.0, -5.0], [0.0, 0.0]] {
-            let params = Lbfgs::default();
-            let direct = params.minimize(&obj, &x0);
-            let driven = run_driver(params, &obj, &x0);
-            assert_bitwise_eq(&driven, &direct);
+        let goldens = [
+            (
+                [-1.2, 1.0],
+                Golden {
+                    x: &[0x3ff0000000f7ec0d, 0x3ff0000001d5bcf9],
+                    value: 0x3c7fa51888bba0d0,
+                    gradient_norm: 0x3e87ac3c46928854,
+                    iterations: 34,
+                    evaluations: 46,
+                    converged: true,
+                },
+            ),
+            (
+                [3.0, -5.0],
+                Golden {
+                    x: &[0x3fefffffffe9f2f3, 0x3fefffffffd1b494],
+                    value: 0x3bee3829bd29c800,
+                    gradient_norm: 0x3e3d6ac6689e6095,
+                    iterations: 35,
+                    evaluations: 50,
+                    converged: true,
+                },
+            ),
+            (
+                [0.0, 0.0],
+                Golden {
+                    x: &[0x3ff00000014915f1, 0x3ff000000286befc],
+                    value: 0x3c7da07584264f10,
+                    gradient_norm: 0x3e7649deeb6ad94b,
+                    iterations: 21,
+                    evaluations: 29,
+                    converged: true,
+                },
+            ),
+        ];
+        for (x0, golden) in &goldens {
+            assert_both_match(Lbfgs::default(), &rosenbrock(), x0, golden);
         }
     }
 
@@ -530,39 +688,158 @@ mod tests {
             |x: &[f64]| 3.0 - x.iter().map(|v| v.cos()).sum::<f64>(),
             |x: &[f64]| x.iter().map(|v| v.sin()).collect(),
         );
-        let params = Lbfgs::default();
-        let direct = params.minimize(&obj, &[0.5, -0.4, 0.3]);
-        let driven = run_driver(params, &obj, &[0.5, -0.4, 0.3]);
-        assert_bitwise_eq(&driven, &direct);
+        let golden = Golden {
+            x: &[0xbdfdad4a31991200, 0xbe13a07ce41b1a00, 0x3e1db53b23985600],
+            value: 0x0000000000000000,
+            gradient_norm: 0x3e222f7057102edc,
+            iterations: 4,
+            evaluations: 5,
+            converged: true,
+        };
+        assert_both_match(Lbfgs::default(), &obj, &[0.5, -0.4, 0.3], &golden);
     }
 
     #[test]
     fn driver_matches_under_tight_budgets() {
-        let obj = rosenbrock();
-        for max_iterations in [0usize, 1, 2, 5] {
+        let goldens = [
+            (
+                0usize,
+                Golden {
+                    x: &[0xbff3333333333333, 0x3ff0000000000000],
+                    value: 0x4038333333333332,
+                    gradient_norm: 0x406d1bc4191bf161,
+                    iterations: 0,
+                    evaluations: 1,
+                    converged: false,
+                },
+            ),
+            (
+                1,
+                Golden {
+                    x: &[0xbfeefe4397306758, 0x3ff182f76e34d0c9],
+                    value: 0x40194936117b3c7c,
+                    gradient_norm: 0x40502e114e3dc61f,
+                    iterations: 1,
+                    evaluations: 4,
+                    converged: false,
+                },
+            ),
+            (
+                2,
+                Golden {
+                    x: &[0xbff04408df588353, 0x3ff11c95f0a6a771],
+                    value: 0x4010c8e6f650d4ae,
+                    gradient_norm: 0x40299f6a0318b038,
+                    iterations: 2,
+                    evaluations: 5,
+                    converged: false,
+                },
+            ),
+            (
+                5,
+                Golden {
+                    x: &[0xbff03059a2726d37, 0x3ff0a82d41ba5433],
+                    value: 0x40104f2dd52105b7,
+                    gradient_norm: 0x401247619f3dcabd,
+                    iterations: 5,
+                    evaluations: 8,
+                    converged: false,
+                },
+            ),
+        ];
+        for (max_iterations, golden) in &goldens {
             let params = Lbfgs {
-                max_iterations,
+                max_iterations: *max_iterations,
                 gradient_tolerance: 1e-20,
                 value_tolerance: 0.0,
                 memory: 3,
             };
-            let direct = params.clone().minimize(&obj, &[-1.2, 1.0]);
-            let driven = run_driver(params, &obj, &[-1.2, 1.0]);
-            assert_bitwise_eq(&driven, &direct);
+            assert_both_match(params, &rosenbrock(), &[-1.2, 1.0], golden);
         }
     }
 
     #[test]
     fn driver_converges_immediately_at_minimum() {
-        let obj = FnObjective::new(
-            2,
-            |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>(),
-            |x: &[f64]| x.iter().map(|v| 2.0 * v).collect(),
-        );
-        let params = Lbfgs::default();
-        let direct = params.minimize(&obj, &[0.0, 0.0]);
-        let driven = run_driver(params, &obj, &[0.0, 0.0]);
-        assert_bitwise_eq(&driven, &direct);
-        assert_eq!(driven.iterations, 1);
+        let golden = Golden {
+            x: &[0, 0],
+            value: 0,
+            gradient_norm: 0,
+            iterations: 1,
+            evaluations: 1,
+            converged: true,
+        };
+        assert_both_match(Lbfgs::default(), &sphere(), &[0.0, 0.0], &golden);
+    }
+
+    /// Feeds exact evaluations of `objective` to a fresh driver until its
+    /// first line search accepts a step. Returns the driver, the line-search
+    /// state of the accepting evaluation, and the accepted point.
+    fn first_accepted_step(
+        objective: &dyn Objective,
+        x0: &[f64],
+    ) -> (LbfgsDriver, LineState, Vec<f64>) {
+        let mut driver = LbfgsDriver::new(Lbfgs::default(), x0);
+        let mut gradient = vec![0.0; x0.len()];
+        loop {
+            let phase = driver.phase;
+            let point = driver.pending().expect("driver finished early").to_vec();
+            let value = objective.value_and_gradient_into(&point, &mut gradient);
+            driver.supply(value, &gradient);
+            assert!(
+                !matches!(driver.phase, Phase::Fallback),
+                "the line search failed"
+            );
+            let searching = matches!(driver.phase, Phase::Line(_)) && driver.iterations == 1;
+            if let (Phase::Line(st), false) = (phase, searching) {
+                return (driver, st, point);
+            }
+        }
+    }
+
+    #[test]
+    fn finds_wolfe_step_on_quadratic() {
+        let obj = sphere();
+        let x = [1.0, 1.0];
+        let (f0, g0) = obj.value_and_gradient(&x);
+        let (driver, st, accepted) = first_accepted_step(&obj, &x);
+        assert!(st.alpha > 0.0);
+        assert!(driver.f < f0);
+        // The driver moved to the accepted point and its gradient buffer
+        // holds ∇f there.
+        assert_eq!(driver.x, accepted);
+        assert_eq!(driver.g, obj.gradient(&accepted));
+        // The first direction is steepest descent; the accepted step meets
+        // the strong-Wolfe curvature condition along it.
+        let slope: f64 = driver.g.iter().zip(&g0).map(|(g, d)| -g * d).sum();
+        assert!(slope.abs() <= -C2 * st.d_phi0);
+    }
+
+    #[test]
+    fn rejects_ascent_direction() {
+        let obj = sphere();
+        let x = [1.0, 1.0];
+        let (f0, g0) = obj.value_and_gradient(&x);
+        let mut driver = LbfgsDriver::new(Lbfgs::default(), &x);
+        driver.supply(f0, &g0);
+        assert!(matches!(driver.phase, Phase::Line(_)));
+        // Point the search uphill: the driver refuses to search along it and
+        // requests the conservative fallback step instead.
+        driver.direction.copy_from_slice(&g0);
+        driver.start_line_search();
+        assert!(matches!(driver.phase, Phase::Fallback));
+        let step = 1e-4 / norm(&g0).max(1.0);
+        let fallback: Vec<f64> = x.iter().zip(&g0).map(|(xi, gi)| xi - step * gi).collect();
+        assert_eq!(driver.pending().unwrap(), fallback.as_slice());
+    }
+
+    #[test]
+    fn satisfies_armijo_condition() {
+        let obj = sphere();
+        let x = [3.0, -2.0];
+        let (f0, g0) = obj.value_and_gradient(&x);
+        let (driver, st, _) = first_accepted_step(&obj, &x);
+        assert_eq!(st.f0, f0);
+        assert_eq!(st.d_phi0, -dot(&g0, &g0));
+        assert!(driver.f <= st.f0 + C1 * st.alpha * st.d_phi0 + 1e-12);
     }
 }

@@ -1,8 +1,8 @@
 //! Limited-memory BFGS, the optimiser the paper uses for EnQode's symbolic
 //! loss.
 
-use crate::line_search::strong_wolfe_into;
-use crate::objective::{dot, norm, Objective, OptimizeResult, Optimizer};
+use crate::driver::LbfgsDriver;
+use crate::objective::{Objective, OptimizeResult};
 
 /// Limited-memory BFGS with a strong-Wolfe line search.
 ///
@@ -10,16 +10,16 @@ use crate::objective::{dot, norm, Objective, OptimizeResult, Optimizer};
 /// the paper (without bound constraints, which EnQode does not need: the `Rz`
 /// angles are unconstrained and 2π-periodic).
 ///
-/// All working storage — the curvature-pair ring buffers, the two-loop
-/// recursion scratch, and the line-search buffers — lives in a
-/// [`LbfgsWorkspace`] allocated once per [`Optimizer::minimize`] call (or
-/// reused across calls via [`Lbfgs::minimize_with`]); the iteration loop
-/// itself performs **zero heap allocations**.
+/// `Lbfgs` holds the parameters; the algorithm and all its working storage
+/// live in [`LbfgsDriver`]. [`Lbfgs::minimize`] runs a fresh driver; reuse
+/// one driver through [`LbfgsDriver::restart`] to optimise many problems
+/// without allocating. The iteration loop itself performs **zero heap
+/// allocations**.
 ///
 /// # Examples
 ///
 /// ```
-/// use enq_optim::{FnObjective, Lbfgs, Optimizer};
+/// use enq_optim::{FnObjective, Lbfgs};
 ///
 /// // Minimise a shifted quadratic.
 /// let obj = FnObjective::new(
@@ -64,236 +64,14 @@ impl Lbfgs {
             ..Self::default()
         }
     }
-}
 
-/// Preallocated working storage for [`Lbfgs`].
-///
-/// Create one with [`LbfgsWorkspace::new`] and pass it to
-/// [`Lbfgs::minimize_with`] to run many optimisations (EnQode: one per
-/// restart, one per embedded sample) without reallocating; buffers are
-/// resized only when the problem dimension or memory depth grows.
-#[derive(Debug, Clone, Default)]
-pub struct LbfgsWorkspace {
-    x: Vec<f64>,
-    g: Vec<f64>,
-    new_x: Vec<f64>,
-    new_g: Vec<f64>,
-    q: Vec<f64>,
-    direction: Vec<f64>,
-    point: Vec<f64>,
-    alphas: Vec<f64>,
-    /// Curvature-pair ring buffers (`memory` slots of dimension `n` each).
-    s_hist: Vec<Vec<f64>>,
-    y_hist: Vec<Vec<f64>>,
-    rho_hist: Vec<f64>,
-}
-
-impl LbfgsWorkspace {
-    /// Creates an empty workspace; buffers are sized on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn ensure(&mut self, n: usize, memory: usize) {
-        let resize = |v: &mut Vec<f64>| {
-            v.clear();
-            v.resize(n, 0.0);
-        };
-        resize(&mut self.x);
-        resize(&mut self.g);
-        resize(&mut self.new_x);
-        resize(&mut self.new_g);
-        resize(&mut self.q);
-        resize(&mut self.direction);
-        resize(&mut self.point);
-        self.alphas.clear();
-        self.alphas.resize(memory, 0.0);
-        self.rho_hist.clear();
-        self.rho_hist.resize(memory, 0.0);
-        self.s_hist.resize_with(memory, Vec::new);
-        self.y_hist.resize_with(memory, Vec::new);
-        for v in self.s_hist.iter_mut().chain(self.y_hist.iter_mut()) {
-            resize(v);
-        }
-    }
-}
-
-impl Lbfgs {
-    /// Minimises `objective` from `x0` reusing the given workspace, so
-    /// repeated optimisations (restarts, per-sample fine-tuning) allocate
-    /// nothing beyond the returned result vector.
+    /// Minimises `objective` from `x0`.
     ///
     /// # Panics
     ///
     /// Panics if `x0.len()` differs from the objective dimension.
-    pub fn minimize_with(
-        &self,
-        objective: &dyn Objective,
-        x0: &[f64],
-        ws: &mut LbfgsWorkspace,
-    ) -> OptimizeResult {
-        let n = objective.dimension();
-        assert_eq!(x0.len(), n, "initial point has wrong dimension");
-        let memory = self.memory.max(1);
-        ws.ensure(n, memory);
-
-        ws.x.copy_from_slice(x0);
-        let mut f = objective.value_and_gradient_into(&ws.x, &mut ws.g);
-        let mut evaluations = 1usize;
-
-        // Ring-buffer state: `hist_len` pairs, oldest at `hist_head`.
-        let mut hist_len = 0usize;
-        let mut hist_head = 0usize;
-
-        let mut converged = false;
-        let mut iterations = 0usize;
-
-        for iter in 0..self.max_iterations {
-            iterations = iter + 1;
-            let g_norm = norm(&ws.g);
-            if g_norm < self.gradient_tolerance {
-                converged = true;
-                break;
-            }
-
-            // Two-loop recursion for the search direction d = -H·g.
-            ws.q.copy_from_slice(&ws.g);
-            for k in (0..hist_len).rev() {
-                let idx = (hist_head + k) % memory;
-                let rho = ws.rho_hist[idx];
-                let alpha = rho * dot(&ws.s_hist[idx], &ws.q);
-                for (qi, yi) in ws.q.iter_mut().zip(ws.y_hist[idx].iter()) {
-                    *qi -= alpha * yi;
-                }
-                ws.alphas[k] = alpha;
-            }
-            // Initial Hessian scaling γ = s·y / y·y of the most recent pair.
-            let gamma = if hist_len > 0 {
-                let idx = (hist_head + hist_len - 1) % memory;
-                let yy = dot(&ws.y_hist[idx], &ws.y_hist[idx]);
-                if yy > 1e-16 {
-                    dot(&ws.s_hist[idx], &ws.y_hist[idx]) / yy
-                } else {
-                    1.0
-                }
-            } else {
-                1.0
-            };
-            for qi in ws.q.iter_mut() {
-                *qi *= gamma;
-            }
-            for k in 0..hist_len {
-                let idx = (hist_head + k) % memory;
-                let rho = ws.rho_hist[idx];
-                let beta = rho * dot(&ws.y_hist[idx], &ws.q);
-                let alpha = ws.alphas[k];
-                for (qi, si) in ws.q.iter_mut().zip(ws.s_hist[idx].iter()) {
-                    *qi += (alpha - beta) * si;
-                }
-            }
-            for (di, qi) in ws.direction.iter_mut().zip(ws.q.iter()) {
-                *di = -qi;
-            }
-
-            // Line search.
-            let initial_step = if hist_len == 0 {
-                (1.0 / norm(&ws.direction).max(1e-12)).min(1.0)
-            } else {
-                1.0
-            };
-            let search = strong_wolfe_into(
-                objective,
-                &ws.x,
-                &ws.direction,
-                f,
-                &ws.g,
-                initial_step,
-                &mut ws.point,
-                &mut ws.new_g,
-            );
-            let (step, new_f) = match search {
-                Some(outcome) => {
-                    evaluations += outcome.evaluations;
-                    (outcome.step, outcome.value)
-                }
-                None => {
-                    // Fall back to a conservative gradient step.
-                    let step = 1e-4 / norm(&ws.g).max(1.0);
-                    for ((p, xi), gi) in ws.point.iter_mut().zip(ws.x.iter()).zip(ws.g.iter()) {
-                        *p = xi - step * gi;
-                    }
-                    let cf = objective.value_and_gradient_into(&ws.point, &mut ws.new_g);
-                    evaluations += 1;
-                    if cf >= f {
-                        converged = true; // cannot make progress
-                        break;
-                    }
-                    ws.x.copy_from_slice(&ws.point);
-                    std::mem::swap(&mut ws.g, &mut ws.new_g);
-                    f = cf;
-                    continue;
-                }
-            };
-
-            for ((nx, xi), di) in ws
-                .new_x
-                .iter_mut()
-                .zip(ws.x.iter())
-                .zip(ws.direction.iter())
-            {
-                *nx = xi + step * di;
-            }
-            // Curvature pair s = new_x − x, y = new_g − g; only stored (into
-            // a recycled ring-buffer slot) when it carries curvature.
-            let mut sy = 0.0;
-            for i in 0..n {
-                sy += (ws.new_x[i] - ws.x[i]) * (ws.new_g[i] - ws.g[i]);
-            }
-            if sy > 1e-12 {
-                let slot = if hist_len == memory {
-                    let oldest = hist_head;
-                    hist_head = (hist_head + 1) % memory;
-                    oldest
-                } else {
-                    (hist_head + hist_len) % memory
-                };
-                let s_buf = &mut ws.s_hist[slot];
-                let y_buf = &mut ws.y_hist[slot];
-                for i in 0..n {
-                    s_buf[i] = ws.new_x[i] - ws.x[i];
-                    y_buf[i] = ws.new_g[i] - ws.g[i];
-                }
-                ws.rho_hist[slot] = 1.0 / sy;
-                if hist_len < memory {
-                    hist_len += 1;
-                }
-            }
-
-            let value_change = (f - new_f).abs();
-            std::mem::swap(&mut ws.x, &mut ws.new_x);
-            std::mem::swap(&mut ws.g, &mut ws.new_g);
-            f = new_f;
-            if value_change < self.value_tolerance * (1.0 + f.abs()) {
-                converged = true;
-                break;
-            }
-        }
-
-        OptimizeResult {
-            gradient_norm: norm(&ws.g),
-            x: ws.x.clone(),
-            value: f,
-            iterations,
-            evaluations,
-            converged,
-        }
-    }
-}
-
-impl Optimizer for Lbfgs {
-    fn minimize(&self, objective: &dyn Objective, x0: &[f64]) -> OptimizeResult {
-        let mut ws = LbfgsWorkspace::new();
-        self.minimize_with(objective, x0, &mut ws)
+    pub fn minimize(&self, objective: &dyn Objective, x0: &[f64]) -> OptimizeResult {
+        LbfgsDriver::new(self.clone(), x0).run(objective)
     }
 }
 
@@ -392,17 +170,18 @@ mod tests {
 
     #[test]
     fn workspace_reuse_matches_fresh_runs() {
-        // Reusing one workspace across problems of different dimensions must
-        // not change any result.
-        let mut ws = LbfgsWorkspace::new();
+        // Reusing one driver's buffers across problems of different
+        // dimensions must not change any result.
         let optimizer = Lbfgs::default();
         let big = FnObjective::new(
             6,
             |x: &[f64]| x.iter().map(|v| (v - 2.0) * (v - 2.0)).sum::<f64>(),
             |x: &[f64]| x.iter().map(|v| 2.0 * (v - 2.0)).collect(),
         );
-        let reused_big = optimizer.minimize_with(&big, &[0.0; 6], &mut ws);
-        let reused_small = optimizer.minimize_with(&rosenbrock(), &[-1.2, 1.0], &mut ws);
+        let mut driver = LbfgsDriver::new(optimizer.clone(), &[0.0; 6]);
+        let reused_big = driver.run(&big);
+        driver.restart(optimizer.clone(), &[-1.2, 1.0]);
+        let reused_small = driver.run(&rosenbrock());
         let fresh_big = optimizer.minimize(&big, &[0.0; 6]);
         let fresh_small = optimizer.minimize(&rosenbrock(), &[-1.2, 1.0]);
         assert_eq!(reused_big, fresh_big);

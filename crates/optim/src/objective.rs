@@ -1,4 +1,4 @@
-//! Objective-function abstraction shared by all optimisers.
+//! The objective-function abstraction and the optimisation result.
 
 /// A smooth scalar objective with an analytic gradient.
 ///
@@ -25,8 +25,8 @@ pub trait Objective {
     /// caller-provided buffer of length [`Objective::dimension`].
     ///
     /// Hot-path objectives (EnQode's fidelity loss) override this to avoid
-    /// any per-evaluation heap allocation; the optimisers in this crate call
-    /// it exclusively from their inner loops. The default delegates to
+    /// any per-evaluation heap allocation; [`crate::LbfgsDriver::run`] calls
+    /// it for every evaluation. The default delegates to
     /// [`Objective::value_and_gradient`].
     ///
     /// # Panics
@@ -55,12 +55,6 @@ pub struct OptimizeResult {
     /// Whether the optimiser met its convergence criterion (as opposed to
     /// running out of iterations).
     pub converged: bool,
-}
-
-/// A reusable iterative minimiser.
-pub trait Optimizer {
-    /// Minimises `objective` starting from `x0`.
-    fn minimize(&self, objective: &dyn Objective, x0: &[f64]) -> OptimizeResult;
 }
 
 /// An [`Objective`] defined by closures, convenient for tests and examples.

@@ -7,7 +7,7 @@
 //! ```
 
 use enq_circuit::{Topology, Transpiler};
-use enq_optim::{Lbfgs, Objective, Optimizer};
+use enq_optim::{Lbfgs, Objective};
 use enqode::{AnsatzConfig, EnqodeError, EntanglerKind, FidelityObjective};
 
 fn main() -> Result<(), EnqodeError> {

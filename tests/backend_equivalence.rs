@@ -218,7 +218,7 @@ fn fine_tune_trajectories_are_bit_identical_across_backends() {
     // walk the exact same trajectory under forced scalar and forced SIMD.
     // This is the property that makes the golden seeded-determinism pins
     // host-independent.
-    use enq_optim::{Lbfgs, Optimizer};
+    use enq_optim::Lbfgs;
     let cfg = config(4, 6);
     let target: Vec<f64> = (0..16)
         .map(|r| ((r as f64) * 0.57).sin().abs() + 0.05)

@@ -1,5 +1,5 @@
 //! Verifies the zero-allocation claim of the rewritten hot path: once the
-//! objective's workspace and the optimiser's workspace are warm, neither the
+//! objective's workspace and the optimiser's driver are warm, neither the
 //! symbolic kernel nor the L-BFGS iteration loop touches the heap.
 //!
 //! A counting global allocator measures allocation *counts* (not bytes).
@@ -9,7 +9,7 @@
 //! made the zero-allocation window flaky. As a plain `fn main` the process
 //! is single-threaded, so the counter observes only the measured code.
 
-use enq_optim::{Lbfgs, LbfgsWorkspace, Objective};
+use enq_optim::{Lbfgs, LbfgsDriver, Objective};
 use enqode::{AnsatzConfig, EntanglerKind, FidelityObjective};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -86,19 +86,20 @@ fn main() {
     let start: Vec<f64> = (0..objective.dimension())
         .map(|j| 0.2 * ((j as f64) * 1.3).sin())
         .collect();
-    let mut ws = LbfgsWorkspace::new();
-
-    // Warm every buffer (objective workspace + optimiser workspace).
-    let _ = Lbfgs::with_max_iterations(3).minimize_with(&objective, &start, &mut ws);
+    // Warm every buffer (objective workspace + the driver's buffers).
+    let mut driver = LbfgsDriver::new(Lbfgs::with_max_iterations(3), &start);
+    let _ = driver.run(&objective);
 
     // A short and a long run must allocate the same, iteration-independent
     // amount (the returned result vector); the loop itself is allocation-free.
     let before_short = allocations();
-    let _ = Lbfgs::with_max_iterations(5).minimize_with(&objective, &start, &mut ws);
+    driver.restart(Lbfgs::with_max_iterations(5), &start);
+    let _ = driver.run(&objective);
     let short_allocs = allocations() - before_short;
 
     let before_long = allocations();
-    let result = Lbfgs::with_max_iterations(150).minimize_with(&objective, &start, &mut ws);
+    driver.restart(Lbfgs::with_max_iterations(150), &start);
+    let result = driver.run(&objective);
     let long_allocs = allocations() - before_long;
 
     assert!(
