@@ -53,8 +53,7 @@ struct LineState {
     d_phi0: f64,
     /// Step whose evaluation is currently pending.
     alpha: f64,
-    /// Evaluations consumed by this search (only added to the global count
-    /// if the search succeeds).
+    /// Evaluations consumed by this search, bounded by [`MAX_EVALS`].
     evals: usize,
     stage: LineStage,
 }
@@ -256,12 +255,12 @@ impl LbfgsDriver {
     pub fn supply(&mut self, value: f64, gradient: &[f64]) {
         assert_eq!(gradient.len(), self.n, "gradient has wrong dimension");
         assert!(!self.is_done(), "supply called on a finished driver");
+        self.evaluations += 1;
         match self.phase {
             Phase::Done => unreachable!(),
             Phase::Initial => {
                 self.f = value;
                 self.g.copy_from_slice(gradient);
-                self.evaluations = 1;
                 self.begin_iteration();
             }
             Phase::Line(mut st) => {
@@ -282,7 +281,6 @@ impl LbfgsDriver {
                 }
             }
             Phase::Fallback => {
-                self.evaluations += 1;
                 if value >= self.f {
                     self.converged = true; // cannot make progress
                     self.phase = Phase::Done;
@@ -425,7 +423,7 @@ impl LbfgsDriver {
             return;
         }
         if slope_alpha.abs() <= -C2 * st.d_phi0 {
-            self.accept_step(alpha, f_alpha, st.evals);
+            self.accept_step(alpha, f_alpha);
             return;
         }
         if slope_alpha >= 0.0 {
@@ -472,7 +470,7 @@ impl LbfgsDriver {
             hi = mid;
         } else {
             if slope_mid.abs() <= -C2 * st.d_phi0 {
-                self.accept_step(mid, f_mid, st.evals);
+                self.accept_step(mid, f_mid);
                 return;
             }
             if slope_mid * (hi - lo) >= 0.0 {
@@ -484,7 +482,7 @@ impl LbfgsDriver {
         if (hi - lo).abs() < 1e-14 {
             // Interval collapsed; accept the best point found so far (its
             // gradient is already in `new_g`).
-            self.accept_step(mid, f_mid, st.evals);
+            self.accept_step(mid, f_mid);
             return;
         }
         if st.evals >= MAX_EVALS {
@@ -498,8 +496,7 @@ impl LbfgsDriver {
 
     /// Line search succeeded: curvature-pair update and convergence check,
     /// then the next iteration.
-    fn accept_step(&mut self, step: f64, new_f: f64, search_evals: usize) {
-        self.evaluations += search_evals;
+    fn accept_step(&mut self, step: f64, new_f: f64) {
         for ((nx, xi), di) in self
             .new_x
             .iter_mut()
@@ -546,8 +543,7 @@ impl LbfgsDriver {
     }
 
     /// Line search failed: request the conservative gradient step
-    /// `x − (1e-4 / max(‖g‖, 1))·g` (the evaluations the failed search
-    /// consumed are dropped).
+    /// `x − (1e-4 / max(‖g‖, 1))·g`.
     fn enter_fallback(&mut self) {
         let step = 1e-4 / norm(&self.g).max(1.0);
         for ((p, xi), gi) in self.point.iter_mut().zip(self.x.iter()).zip(self.g.iter()) {
@@ -561,6 +557,7 @@ impl LbfgsDriver {
 mod tests {
     use super::*;
     use crate::objective::FnObjective;
+    use std::cell::Cell;
 
     /// Steps a driver to completion by hand through `pending`/`supply`, the
     /// way the batched embedding path drives its lanes.
@@ -769,6 +766,26 @@ mod tests {
             converged: true,
         };
         assert_both_match(Lbfgs::default(), &sphere(), &[0.0, 0.0], &golden);
+    }
+
+    #[test]
+    fn counts_every_objective_evaluation() {
+        // `f(x) = -x` has no minimum: every line search exhausts its bracket
+        // budget and falls back to a small gradient step, so the count must
+        // include the evaluations of failed searches too.
+        let calls = Cell::new(0usize);
+        let unbounded = FnObjective::new(
+            1,
+            |x: &[f64]| {
+                calls.set(calls.get() + 1);
+                -x[0]
+            },
+            |_: &[f64]| vec![-1.0],
+        );
+        let result = Lbfgs::with_max_iterations(5).minimize(&unbounded, &[0.0]);
+        assert_eq!(result.iterations, 5);
+        assert_eq!(result.evaluations, calls.get());
+        assert_eq!(result.evaluations, 56, "1 + 5 x (10 bracket + 1 fallback)");
     }
 
     /// Feeds exact evaluations of `objective` to a fresh driver until its
