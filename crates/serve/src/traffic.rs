@@ -184,8 +184,12 @@ pub struct TrafficAccumulator {
     /// shard spill — synchronous disk I/O by design, to keep shard order
     /// chronological — stalls only recorders of that model.
     models: Mutex<HashMap<String, Arc<Mutex<ModelTraffic>>>>,
-    shard_counter: AtomicU64,
 }
+
+/// Numbers every shard file this process creates. Process-wide, not per
+/// accumulator: two accumulators recording the same model id into the same
+/// spill dir must never pick the same file name.
+static SHARD_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 impl TrafficAccumulator {
     /// Creates an accumulator (disabled configs cost one branch per record).
@@ -193,7 +197,6 @@ impl TrafficAccumulator {
         Self {
             config,
             models: Mutex::new(HashMap::new()),
-            shard_counter: AtomicU64::new(0),
         }
     }
 
@@ -235,7 +238,7 @@ impl TrafficAccumulator {
         dir.push(format!(
             "enq_traffic_{}_{safe}_{}.enqb",
             std::process::id(),
-            self.shard_counter.fetch_add(1, Ordering::Relaxed),
+            SHARD_COUNTER.fetch_add(1, Ordering::Relaxed),
         ));
         dir
     }
@@ -745,6 +748,31 @@ mod tests {
             materialize(&mut source, "again").unwrap()
         };
         assert_eq!(again.samples(), replay.samples());
+    }
+
+    #[test]
+    fn accumulators_sharing_a_model_id_replay_only_their_own_records() {
+        // Both spill into the default dir under the same model id.
+        let a = tiny_traffic(2, 64);
+        let b = tiny_traffic(2, 64);
+        for i in 0..6 {
+            a.record("shared", &vector(i), 0);
+            b.record("shared", &vector(100 + i), 1);
+        }
+        for (traffic, first, label) in [(&a, 0, 0), (&b, 100, 1)] {
+            let corpus = traffic.corpus("shared").unwrap();
+            let mut source = corpus.chronological_source().unwrap();
+            let replay = materialize(&mut source, "own").unwrap();
+            assert_eq!(replay.len(), 6);
+            for (i, (sample, &l)) in replay.samples().iter().zip(replay.labels()).enumerate() {
+                assert_eq!(
+                    sample,
+                    &vector(first + i),
+                    "record {i} of accumulator {first}"
+                );
+                assert_eq!(l, label);
+            }
+        }
     }
 
     #[test]
