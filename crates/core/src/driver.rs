@@ -1325,21 +1325,12 @@ mod tests {
             },
         )
         .unwrap();
-        let spill_count = || {
-            std::fs::read_dir(std::env::temp_dir())
-                .unwrap()
-                .filter_map(Result::ok)
-                .filter(|e| {
-                    e.file_name()
-                        .to_string_lossy()
-                        .starts_with(&format!("enq_stream_spill_{}_", std::process::id()))
-                })
-                .count()
-        };
-        let spills_before = spill_count();
         let mut source = InMemorySource::new(&data);
         let token = CancelToken::new();
-        {
+        // Only this driver's own spill file is checked: sibling tests in
+        // the same process create and remove spill files in the same temp
+        // dir concurrently.
+        let spill_path = {
             let mut driver =
                 StreamDriver::new(&mut source, tiny_config(13), tiny_stream()).unwrap();
             driver.set_cancel(token.clone());
@@ -1347,15 +1338,23 @@ mod tests {
             // must refuse to run and no pipeline is ever produced.
             driver.run_features().unwrap();
             assert!(driver.spill_reader.is_some(), "spill file exists mid-fit");
+            let spill_path = driver
+                .spill
+                .as_ref()
+                .expect("features spilled")
+                .path
+                .clone();
+            assert!(spill_path.exists());
             token.cancel();
             assert!(matches!(
                 driver.run_clustering(),
                 Err(EnqodeError::Cancelled)
             ));
             assert!(matches!(driver.run_training(), Err(EnqodeError::Cancelled)));
-        }
+            spill_path
+        };
         // Dropping the cancelled driver removed its spill file.
-        assert_eq!(spill_count(), spills_before);
+        assert!(!spill_path.exists());
 
         // A token cancelled before the first chunk stops the feature stage
         // itself.
