@@ -46,9 +46,9 @@ pub mod experiment;
 pub mod fig67;
 pub mod fig8;
 pub mod fig9;
-pub mod first_order;
+mod first_order;
 pub mod fit;
-pub mod nelder_mead;
+mod nelder_mead;
 pub mod net;
 pub mod report;
 pub mod serve;
